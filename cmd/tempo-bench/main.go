@@ -3,12 +3,7 @@
 // Simulations fan out across a worker pool (-parallel, default
 // GOMAXPROCS) through the internal/runner engine; results land in a
 // persistent cache when -cache-dir is set, so interrupted sweeps
-// resume and -figure subsets reuse completed runs. -workers
-// additionally parallelizes inside each simulation (epoch-barrier
-// core execution plus sharded DRAM drains; results are bit-identical
-// at any count). It defaults to 1 because the sweep already saturates
-// the machine across simulations — raise it only when running few
-// sims on many idle cores. The run ends with
+// resume and -figure subsets reuse completed runs. The run ends with
 // total wall-clock, executed/cached simulation counts, and — when a
 // cache or -runs log is configured — a machine-readable runs.jsonl.
 //
@@ -91,7 +86,6 @@ func main() {
 		compare   = flag.String("compare", "", "write a paper-vs-measured markdown table to this file")
 		mechList  = flag.String("mech", "", "comma-separated translation mechanisms for the mech01 zoo (default: all registered)")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "simulation worker count")
-		workers   = flag.Int("workers", 1, "intra-run worker threads per simulation (results are identical at any count)")
 		cacheDir  = flag.String("cache-dir", "", "persistent result cache directory (empty: in-memory only)")
 		timeout   = flag.Duration("timeout", 0, "per-simulation timeout (0: none)")
 		runsLog   = flag.String("runs", "", "write per-job runs.jsonl here (default: <cache-dir>/runs.jsonl)")
@@ -160,7 +154,7 @@ func main() {
 
 	// Assemble the execution engine: worker pool, persistent cache,
 	// progress telemetry.
-	popts := runner.Options{Parallelism: *parallel, Timeout: *timeout, SimWorkers: *workers}
+	popts := runner.Options{Parallelism: *parallel, Timeout: *timeout}
 	if *cacheDir != "" {
 		dc, err := runner.NewDiskCache(*cacheDir)
 		if err != nil {

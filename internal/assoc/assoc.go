@@ -115,17 +115,6 @@ func (a *Assoc[V]) victimFor(key uint64) int {
 	return victim
 }
 
-// Clone returns a deep copy sharing no state with the original. The
-// sharded DRAM drain clones the adaptive row-policy prediction cache
-// so a speculative per-channel pass can mutate it transactionally.
-func (a *Assoc[V]) Clone() *Assoc[V] {
-	c := *a
-	c.tags = append([]uint64(nil), a.tags...)
-	c.stamp = append([]uint64(nil), a.stamp...)
-	c.vals = append([]V(nil), a.vals...)
-	return &c
-}
-
 // Invalidate removes key if present, returning whether it was found.
 func (a *Assoc[V]) Invalidate(key uint64) bool {
 	base := int(key&a.setMask) * a.ways

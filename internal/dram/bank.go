@@ -116,24 +116,6 @@ func NewBank(id int, geo Geometry, timing Timing, policy RowPolicy) *Bank {
 	return b
 }
 
-// Clone returns a deep copy of the bank sharing no mutable state with
-// the original: sub-row buffers and the adaptive predictor (when
-// present) are copied. The version counter carries over, so row-hit
-// answers memoised against the original stay valid against the clone
-// exactly while neither has mutated. The sharded end-of-run drain
-// serves each channel speculatively on clones and installs them only
-// if every channel's schedule is proven equal to the serial one.
-func (b *Bank) Clone() *Bank {
-	c := *b
-	c.subs = append([]subRow(nil), b.subs...)
-	if b.pred != nil {
-		p := *b.pred
-		p.cache = b.pred.cache.Clone()
-		c.pred = &p
-	}
-	return &c
-}
-
 func (b *Bank) predKey(row uint64) uint64 {
 	return uint64(b.id)<<40 ^ row
 }

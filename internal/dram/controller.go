@@ -51,11 +51,8 @@ func DefaultConfig() Config {
 type Controller struct {
 	cfg Config
 	// chans holds the per-channel timing domains. Channels are fully
-	// independent below the transaction queue — banks, data bus,
-	// refresh cadence and the tFAW activate window are all per-channel
-	// — which is what the sharded end-of-run drain (DrainParallel)
-	// exploits: each channel's state can be cloned, advanced
-	// speculatively on a worker, and installed atomically.
+	// independent below the transaction queue: banks, data bus,
+	// refresh cadence and the tFAW activate window are all per-channel.
 	chans []chanState
 	queue []*Request
 	sched Scheduler
@@ -86,14 +83,6 @@ type Controller struct {
 	// frontier is the latest issue time seen — the controller's
 	// notion of "now" for scheduler aging and grace periods.
 	frontier uint64
-	// drainsSharded counts DrainParallel calls that committed a
-	// sharded drain (as opposed to falling back to the serial path);
-	// ShardedDrains exposes it so tests and callers can tell the two
-	// apart — the results are bit-identical by design.
-	// midDrainsSharded is the same tally for DrainUpToParallel, the
-	// mid-run drain.
-	drainsSharded    uint64
-	midDrainsSharded uint64
 	// pool recycles transactions; eligible is DrainUpTo's reusable
 	// filter scratch. Both keep the steady-state serve path free of
 	// allocations.
@@ -106,10 +95,7 @@ type Controller struct {
 
 // chanState is one channel's complete timing domain: its banks, the
 // data-bus availability, the auto-refresh deadline, and the ring of
-// the last four ACT issue times enforcing tFAW. Everything a serve
-// mutates besides the request itself and the stats sink lives here
-// (or in the global frontier/served counters, which merge trivially),
-// so cloning a chanState is enough to advance a channel speculatively.
+// the last four ACT issue times enforcing tFAW.
 type chanState struct {
 	banks []*Bank
 	// busAt is the cycle the channel's data bus frees.
@@ -119,16 +105,6 @@ type chanState struct {
 	// acts rings the last four ACT issue times; actPos counts ACTs.
 	acts   [4]uint64
 	actPos int
-}
-
-// clone deep-copies the channel's timing domain (banks included).
-func (cs *chanState) clone() chanState {
-	c := *cs
-	c.banks = make([]*Bank, len(cs.banks))
-	for i, b := range cs.banks {
-		c.banks[i] = b.Clone()
-	}
-	return c
 }
 
 // NewController builds a controller. The scheduler is mandatory; stats
@@ -218,19 +194,18 @@ func (c *Controller) ServeOne() *Request {
 	return c.executeOne()
 }
 
-// serveOn performs the timing and bank work of serving r on the given
-// channel state, charging st: refresh catch-up, bank readiness, data-
-// bus burst placement, tFAW, the bank access itself, and the request's
-// result fields. It is the shared core of executeOne (which runs it on
-// the controller's live channel state and global stats) and the
-// sharded drain (which runs it on cloned channel state with a shard-
-// local stats sink). The caller handles everything channel-external:
-// the frontier, served counters, recorder events, and the TEMPO hooks.
-func (c *Controller) serveOn(cs *chanState, ch int, r *Request, st *stats.Stats) (outcome stats.RowOutcome, issue, complete uint64) {
+// executeOne serves the scheduler's chosen request and returns it.
+// The queue must be non-empty.
+func (c *Controller) executeOne() *Request {
+	idx := c.sched.Pick(c.queue, c.clock(), c)
+	r := c.queue[idx]
+	c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
+
 	loc := r.loc // decoded once at Submit
-	c.refreshOn(cs, ch, r.Enqueue, st)
+	cs := &c.chans[loc.Channel]
+	c.refreshChannel(loc.Channel, r.Enqueue)
 	bank := cs.banks[loc.Bank]
-	issue = r.Enqueue
+	issue := r.Enqueue
 	if ba := bank.ReadyAt(); ba > issue {
 		issue = ba
 	}
@@ -257,45 +232,29 @@ func (c *Controller) serveOn(cs *chanState, ch int, r *Request, st *stats.Stats)
 		}
 	}
 	allowed := c.allowedSubRows(r)
-	var done uint64
-	outcome, done = bank.Access(loc.Row, r.seg, issue, allowed, st)
-	complete = done
+	outcome, complete := bank.Access(loc.Row, r.seg, issue, allowed, c.st)
 	if outcome != stats.RowHit && c.cfg.Timing.TFAW > 0 {
 		cs.acts[cs.actPos%4] = issue
 		cs.actPos++
 	}
 	cs.busAt = complete // bus busy until the burst ends
-	r.Done, r.Issue, r.Complete, r.Outcome = true, issue, complete, outcome
-
-	st.AddDRAMRef(r.Category, outcome)
-	st.AddDRAMLatency(r.Category, complete-r.Enqueue)
-	st.DRAMBusyCycles += complete - issue
-	if r.Write {
-		st.WrCount++
-	} else {
-		st.RdCount++
-	}
-	return outcome, issue, complete
-}
-
-// executeOne serves the scheduler's chosen request and returns it.
-// The queue must be non-empty.
-func (c *Controller) executeOne() *Request {
-	idx := c.sched.Pick(c.queue, c.clock(), c)
-	r := c.queue[idx]
-	c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
-
-	loc := r.loc
-	bank := c.chans[loc.Channel].banks[loc.Bank]
-	outcome, issue, complete := c.serveOn(&c.chans[loc.Channel], loc.Channel, r, c.st)
 	if issue > c.frontier {
 		c.frontier = issue
 	}
+	r.Done, r.Issue, r.Complete, r.Outcome = true, issue, complete, outcome
 	c.served++
 	if r.waiter {
 		c.servedWaiters++
 	}
 
+	c.st.AddDRAMRef(r.Category, outcome)
+	c.st.AddDRAMLatency(r.Category, complete-r.Enqueue)
+	c.st.DRAMBusyCycles += complete - issue
+	if r.Write {
+		c.st.WrCount++
+	} else {
+		c.st.RdCount++
+	}
 	if c.Rec.Active() {
 		c.Rec.Emit(obsv.Event{Kind: obsv.EvDRAM, Cycle: r.Enqueue,
 			Dur: complete - r.Enqueue, Core: int16(r.CoreID),
@@ -373,28 +332,14 @@ func (c *Controller) allowedSubRows(r *Request) []int {
 		return nil
 	}
 	// The two partitions are fixed by geometry; build them once.
-	// DrainParallel pre-builds them (buildSubRowPartitions) before
-	// fanning out, so this lazy init never races.
 	if c.prefetchSub == nil {
-		c.buildSubRowPartitions()
+		c.prefetchSub = seq(0, g.PrefetchSubRows)
+		c.demandSub = seq(g.PrefetchSubRows, g.SubRows)
 	}
 	if r.Prefetch {
 		return c.prefetchSub
 	}
 	return c.demandSub
-}
-
-// buildSubRowPartitions materialises the fixed geometry-derived
-// sub-row partitions allowedSubRows otherwise builds lazily.
-func (c *Controller) buildSubRowPartitions() {
-	g := c.cfg.Geometry
-	if g.SubRows <= 1 || g.PrefetchSubRows <= 0 || g.PrefetchSubRows >= g.SubRows {
-		return
-	}
-	if c.prefetchSub == nil {
-		c.prefetchSub = seq(0, g.PrefetchSubRows)
-		c.demandSub = seq(g.PrefetchSubRows, g.SubRows)
-	}
 }
 
 // RunUntil executes queued transactions, in scheduler order, until r
@@ -431,22 +376,6 @@ func (c *Controller) DrainUpTo(t uint64) {
 		idx := c.sched.Pick(eligible, c.clock(), c)
 		c.executeSpecific(eligible[idx])
 	}
-}
-
-// MinEnqueue returns the earliest enqueue cycle among queued
-// transactions, or ^uint64(0) when the queue is empty. The epoch
-// coordinator uses it as a conservative clock ceiling: any DrainUpTo(t)
-// with t below this bound retires nothing, so absorbed records that
-// provably stay below it cannot perturb the queue however often the
-// serial guards fire.
-func (c *Controller) MinEnqueue() uint64 {
-	min := ^uint64(0)
-	for _, r := range c.queue {
-		if r.Enqueue < min {
-			min = r.Enqueue
-		}
-	}
-	return min
 }
 
 // executeSpecific serves exactly target (the scheduler has already
@@ -486,19 +415,20 @@ func (c *Controller) Drain() {
 // the latest issue time it has committed (monotonic).
 func (c *Controller) clock() uint64 { return c.frontier }
 
-// refreshOn applies any auto-refreshes due at or before `now` on the
-// given channel state: all banks precharge and stall for TRFC.
-func (c *Controller) refreshOn(cs *chanState, ch int, now uint64, st *stats.Stats) {
+// refreshChannel applies any auto-refreshes due at or before `now` on
+// the channel: all banks precharge and stall for TRFC.
+func (c *Controller) refreshChannel(ch int, now uint64) {
 	t := c.cfg.Timing
 	if t.TRFC == 0 {
 		return
 	}
+	cs := &c.chans[ch]
 	for cs.nextRefresh <= now {
 		start := cs.nextRefresh
 		for _, b := range cs.banks {
-			b.Refresh(start, t.TRFC, st)
+			b.Refresh(start, t.TRFC, c.st)
 		}
-		st.RefCount++
+		c.st.RefCount++
 		if c.Rec.Active() {
 			c.Rec.Emit(obsv.Event{Kind: obsv.EvRefresh, Cycle: start,
 				Dur: t.TRFC, Core: -1, A: uint8(ch),

@@ -111,32 +111,6 @@ type Scheduler interface {
 	OnServed(r *Request, now uint64)
 }
 
-// ShardablePicker is an optional Scheduler extension for stateless
-// schedulers whose pick can sometimes be proven independent of the
-// controller clock. PickInvariant returns the index Pick(q, now, rows)
-// would return, plus the proof's reach: safeUntil == ^uint64(0) means
-// the pick is the same for EVERY possible now; a finite safeUntil
-// means the pick is proven only for clocks now <= safeUntil (typically
-// because a starvation guard could reorder the queue at older clocks).
-// ok reports whether any such answer exists for the current queue and
-// row state.
-//
-// When every pick of a drain is proven and the caller can bound the
-// serial controller clock below every finite safeUntil, the serial
-// global serve order restricted to one channel equals a greedy
-// per-channel drain — the soundness condition for DrainParallel's
-// sharded execution. The bound is available post hoc: the serial clock
-// is the issue frontier, which never exceeds the starting frontier or
-// any speculative serve's issue time, so DrainParallel validates the
-// finite safeUntils against the drained shards' final frontiers before
-// installing anything. A scheduler that cannot prove invariance (or is
-// stateful across picks, like BLISS) simply doesn't implement the
-// interface and drains serially.
-type ShardablePicker interface {
-	Scheduler
-	PickInvariant(q []*Request, rows RowPeeker) (idx int, safeUntil uint64, ok bool)
-}
-
 // FCFS is the trivial in-order scheduler, useful as a baseline and in
 // tests.
 type FCFS struct{}

@@ -147,49 +147,6 @@ func TestSpeedupTable(t *testing.T) {
 	}
 }
 
-// TestEpochTable checks the epochs table surfaces parallel-engine
-// engagement for worker-executed runs only, with engagement computed
-// against the cached result's executed-record count.
-func TestEpochTable(t *testing.T) {
-	dir := t.TempDir()
-	cacheDir := filepath.Join(dir, "cache")
-	cache, err := runner.NewDiskCache(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := fakeResult(2000, 1000)
-	res.Total.MemRefs = 2000
-	hash := fmt.Sprintf("%064d", 7)
-	if err := cache.Put(hash, res); err != nil {
-		t.Fatal(err)
-	}
-	runs := fmt.Sprintf(`{"key":"par/xsbench","hash":%q,"cached":false,"wall_ms":5,`+
-		`"workers":4,"epochs":10,"epoch_records":200,"barrier_stalls":1}`+"\n"+
-		`{"key":"ser/xsbench","hash":"","cached":false,"wall_ms":5}`+"\n", hash)
-	runsPath := filepath.Join(dir, "runs.jsonl")
-	if err := os.WriteFile(runsPath, []byte(runs), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := Load(runsPath, cacheDir, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := EpochTable(d)
-	if len(tab.Rows) != 1 {
-		t.Fatalf("got %d epoch rows, want 1 (serial runs are skipped): %+v", len(tab.Rows), tab.Rows)
-	}
-	row := tab.Rows[0]
-	if row.Label != "par/xsbench" {
-		t.Fatalf("row label %q", row.Label)
-	}
-	want := []float64{4, 10, 10, 200, 1}
-	for i, v := range want {
-		if row.Cells[i] != v {
-			t.Fatalf("cell %d (%s) = %v, want %v", i, tab.Columns[i], row.Cells[i], v)
-		}
-	}
-}
-
 func TestRowBufferTable(t *testing.T) {
 	runsPath, cacheDir, _ := writeSweep(t)
 	d, err := Load(runsPath, cacheDir, "")

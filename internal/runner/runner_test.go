@@ -273,34 +273,3 @@ func TestTelemetryProgressAndJSONL(t *testing.T) {
 		t.Errorf("summary = %q", s)
 	}
 }
-
-// TestSimWorkersReachesExec checks the SimWorkers option is applied to
-// every job's config before execution, and that leaving it zero keeps
-// the configs untouched (serial simulation).
-func TestSimWorkersReachesExec(t *testing.T) {
-	for _, want := range []int{0, 4} {
-		var seen atomic.Int64
-		p := New(Options{
-			SimWorkers: want,
-			Exec: func(cfg sim.Config) (*sim.Result, error) {
-				seen.Add(1)
-				if cfg.Workers != want {
-					t.Errorf("SimWorkers=%d: job executed with Workers=%d", want, cfg.Workers)
-				}
-				return stubResult(cfg), nil
-			},
-		})
-		results := p.Run(context.Background(), []Job{
-			{Key: "a", Config: cfgWithSeed(1)},
-			{Key: "b", Config: cfgWithSeed(2)},
-		})
-		for _, r := range results {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-		}
-		if seen.Load() != 2 {
-			t.Fatalf("executed %d jobs, want 2", seen.Load())
-		}
-	}
-}

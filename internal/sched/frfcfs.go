@@ -57,12 +57,6 @@ func (s *FRFCFS) score(r *dram.Request, now uint64, rows dram.RowPeeker) int {
 	if now > r.Enqueue && now-r.Enqueue > s.ageCap() {
 		return 100 // starvation guard
 	}
-	return s.classScore(r, rows)
-}
-
-// classScore is the clock-free half of score: the class priority a
-// request holds whenever the starvation guard has not fired for it.
-func (s *FRFCFS) classScore(r *dram.Request, rows dram.RowPeeker) int {
 	hit := rows != nil && rows.WouldRowHitReq(r)
 	if s.TempoAware {
 		// Row hits still rule (reordering for locality, not class
@@ -89,40 +83,3 @@ func (s *FRFCFS) classScore(r *dram.Request, rows dram.RowPeeker) int {
 
 // OnServed implements dram.Scheduler.
 func (s *FRFCFS) OnServed(*dram.Request, uint64) {}
-
-// PickInvariant implements dram.ShardablePicker. The proof shape:
-// score(r, now) is either the clock-free class score or 100 when the
-// starvation guard fires, and the guard's over-age set grows
-// monotonically with now while ordering its members by the same
-// (Enqueue, index) key Pick's tie-break uses. So for any now, Pick
-// returns either the class-score winner (no request over-age) or the
-// globally oldest request (some request over-age — the oldest is
-// over-age first and wins every comparison at score 100).
-//
-// When those two candidates coincide, the pick is the same for every
-// clock (safeUntil = ^0). When they differ, the class-score winner is
-// still the pick for every clock at which the guard is dormant — the
-// guard fires for request r only once now > r.Enqueue + ageCap, and
-// the oldest request crosses that line first — so the pick is proven
-// conditionally up to safeUntil = oldest.Enqueue + ageCap. The caller
-// must bound the serial drain's clock below that before trusting it;
-// mid-run drains over young queues virtually always pass, which is
-// what lets DrainUpToParallel shard queues whose FR-FCFS row-hit
-// winner is not the oldest request.
-func (s *FRFCFS) PickInvariant(q []*dram.Request, rows dram.RowPeeker) (int, uint64, bool) {
-	oldest := 0
-	best, bestScore := 0, -1
-	for i, r := range q {
-		if r.Enqueue < q[oldest].Enqueue {
-			oldest = i
-		}
-		score := s.classScore(r, rows)
-		if score > bestScore || (score == bestScore && r.Enqueue < q[best].Enqueue) {
-			best, bestScore = i, score
-		}
-	}
-	if best != oldest {
-		return best, q[oldest].Enqueue + s.ageCap(), true
-	}
-	return best, ^uint64(0), true
-}

@@ -9,6 +9,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/mem"
@@ -86,6 +88,19 @@ func DefaultMachine() Machine {
 		LLCFillExtra:  25,
 		OtherOverlap:  0.42,
 	}
+}
+
+// validate rejects machine parameters the core model cannot run with:
+// NonMemIPC divides every record's instruction gap, and OtherOverlap
+// scales DRAM stall cycles (outside [0, 1] the charge wraps around).
+func (m *Machine) validate() error {
+	if m.NonMemIPC < 1 {
+		return fmt.Errorf("sim: Machine.NonMemIPC must be at least 1, got %d", m.NonMemIPC)
+	}
+	if !(m.OtherOverlap >= 0 && m.OtherOverlap <= 1) {
+		return fmt.Errorf("sim: Machine.OtherOverlap must be in [0, 1], got %v", m.OtherOverlap)
+	}
+	return nil
 }
 
 // WorkloadSpec is one core's workload: either a named synthetic
@@ -188,28 +203,10 @@ type Config struct {
 	// Seed namespaces all derived seeds (OS, workloads).
 	Seed int64
 
-	// Workers bounds the worker goroutines the run may use for
-	// intra-run parallelism: epoch-barrier core execution and the
-	// sharded end-of-run DRAM drain. 0 or 1 selects the exact serial
-	// coordinator. Results are bit-identical at every worker count —
-	// the parallel paths only run where the serial schedule provably
-	// cannot observe the difference — so the field is excluded from
-	// the JSON serialization the runner's content-addressed result
-	// cache hashes: the same configuration hits the same cache entry
-	// whatever the worker count.
+	// Workers is ignored: the simulator always runs one serial
+	// coordinator. It is part of the benchmark compatibility shim
+	// (compat.go) and stays out of the cache-hashed JSON.
 	Workers int `json:"-"`
-
-	// EpochQueueMax bounds the controller queue depth (in queued
-	// requests) at which the epoch engine still runs its full mode —
-	// absorbing shared-capable records and submitting their DRAM
-	// traffic under the epoch budget. Deeper queues drop to the
-	// private-only mode bounded by the queue's minimum enqueue cycle.
-	// 0 selects the default (128, matching the serial engine's
-	// queue-pressure guard). Like Workers this is an execution knob,
-	// not a simulated parameter: results are bit-identical at every
-	// value, so it is excluded from the JSON the runner's
-	// content-addressed result cache hashes.
-	EpochQueueMax int `json:"-"`
 }
 
 // DefaultConfig builds a single-core run of the named workload with

@@ -86,38 +86,11 @@ type Core struct {
 	records int
 	ran     int // records executed so far
 
-	// peeked/peekRec are a one-record lookahead buffer feeding
-	// privateReady: the epoch coordinator must classify the next record
-	// (private to this core's TLB+L1+L2, or touching shared state)
-	// before deciding whether the core may run outside the serial
-	// interleaving, and streams are consume-only. nextRecord drains the
-	// buffer first, so peeking never perturbs the record sequence.
-	peeked  bool
-	peekRec trace.Record
-
-	// epochYield, toggled by the epoch coordinator while a pool is
-	// active and probing is worthwhile, asks step to take one extra
-	// yield at every absorbable record boundary that follows a
-	// shared-state record. The yield happens at a record boundary with
-	// c.now still at or below the batch limit, so re-running the pick
-	// loop would choose this core again and the yield is
-	// result-invariant — its only effect is parking the core at a
-	// probe point where the epoch coordinator can see it. Without it,
-	// batches blow through absorbable-run starts mid-batch and two
-	// cores essentially never sit at absorbable record boundaries at
-	// the same loop top.
-	epochYield bool
-
 	// obs is the attached event recorder (nil when tracing is off);
 	// obsStart is the cycle the in-flight record began, anchoring its
 	// whole-record span.
 	obs      *obsv.Recorder
 	obsStart uint64
-	// obsBuf buffers the events an epoch body would have emitted, for
-	// the coordinator to merge into the shared ring at the barrier in
-	// core-id order (allocated by Run only for epoch-capable observed
-	// runs; nil otherwise).
-	obsBuf []obsv.Event
 
 	// State-machine registers: the values live across a coreWait park.
 	phase      corePhase
@@ -207,8 +180,8 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 					if c.ar.Served == cache.ServedL1 {
 						c.now += c.ar.Latency
 						c.st.CPIStack[stats.CPIDataL1] += c.ar.Latency
-						if c.sys.ctrl.QueueLen() > serialGuardQueue {
-							c.sys.ctrl.DrainUpToParallel(c.now, c.sys.cfg.Workers)
+						if c.sys.ctrl.QueueLen() > queueGuardDepth {
+							c.sys.ctrl.DrainUpTo(c.now)
 						}
 						executed++
 						if executed >= budget || c.now > limit ||
@@ -365,9 +338,8 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 			if c.walked {
 				// Give queued TEMPO prefetches their chance to run
 				// inside the slack window before the replay probes the
-				// LLC — sharded by channel when the queue's contents
-				// allow a provably serial-identical schedule.
-				c.sys.ctrl.DrainUpToParallel(c.now, c.sys.cfg.Workers)
+				// LLC.
+				c.sys.ctrl.DrainUpTo(c.now)
 			}
 			// Prefetched lines are usable if filled by the time the
 			// lookup reaches the LLC.
@@ -495,16 +467,6 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 				c.sys.ctrl.ServedWaiters() != waiters {
 				return coreStep, nil, executed
 			}
-			// Epoch seeding: a shared-state record just finished and the
-			// next one is provably absorbable (no page walk) — yield so
-			// the coordinator's epoch probe can pair this run with
-			// another core's. The trigger restricts the
-			// (two-directory-probe) peek to records that actually left
-			// the private domain, keeping pure private sprints batched.
-			if c.epochYield && (c.walked || c.servedDRAM ||
-				c.ar.Served == cache.ServedLLC) && c.absorbableReady() {
-				return coreStep, nil, executed
-			}
 		}
 	}
 }
@@ -577,10 +539,6 @@ func (c *Core) chargeDRAMStall(req *dram.Request, total, charged uint64) {
 
 // nextRecord pulls the next record, maintaining the IMP lookahead ring.
 func (c *Core) nextRecord() (trace.Record, bool) {
-	if c.peeked {
-		c.peeked = false
-		return c.peekRec, true
-	}
 	if c.imp == nil {
 		return c.stream.Next()
 	}
@@ -601,343 +559,10 @@ func (c *Core) nextRecord() (trace.Record, bool) {
 	return rec, true
 }
 
-// peekRecord exposes the next record without consuming it. Only valid
-// with no IMP attached (the epoch gates guarantee it): the lookahead
-// ring has its own buffering and must see records in stream order.
-func (c *Core) peekRecord() (trace.Record, bool) {
-	if !c.peeked {
-		rec, ok := c.stream.Next()
-		if !ok {
-			return trace.Record{}, false
-		}
-		c.peekRec, c.peeked = rec, true
-	}
-	return c.peekRec, true
-}
-
-// nextKind classifies a core's next schedulable work for the epoch
-// coordinator, from the core's own state alone and without executing
-// anything.
-type nextKind uint8
-
-const (
-	// nextNone: the trace is exhausted — the core retires on its next
-	// serial step without touching any state, so it commutes with
-	// everything and constrains nothing.
-	nextNone nextKind = iota
-	// nextSerial: pending work only the serial engine may run — a
-	// possible page walk (TLB-peek miss: walks probe the shared LLC,
-	// submit DRAM PTE reads and can trigger serving drains) or a
-	// mid-record DRAM resume (the core is parked past phRecord).
-	nextSerial
-	// nextPrivate: the record provably reads and writes nothing but
-	// the core's own TLB, L1 and L2.
-	nextPrivate
-	// nextShared: the record provably needs no page walk but its cache
-	// probe (or fill cascade) reaches the shared LLC, possibly DRAM.
-	nextShared
-)
-
-// classifyNext classifies the next record. The proof chain behind
-// nextPrivate/nextShared: a TLB peek hit means Lookup will hit (no
-// walk, no residency fault — demand paging cannot have skipped a
-// mapped-and-cached page and nothing unmaps pages mid-run), the hit
-// yields the exact translation Lookup will return, and PrivateAccess
-// then certifies whether the cache probe, including its fill cascade,
-// stops above the shared LLC. Private records commute with every other
-// core's records (private or not: non-private records touch shared
-// state plus the *other* core's private state, all disjoint from this
-// core's), so the epoch coordinator may run them outside the serial
-// interleaving with a bit-identical outcome; shared records are
-// correct only in serial (clock, id) commit order, which the epoch
-// turn protocol enforces. Callers must additionally hold the
-// epoch-level gates (no prefetcher, epoch-capable observer, empty fill
-// queue, queue-mode bounds) that the serial paths' other
-// side-entrances depend on.
-func (c *Core) classifyNext() nextKind {
-	if c.phase != phRecord {
-		return nextSerial
-	}
-	if c.ran >= c.records {
-		return nextNone
-	}
-	rec, ok := c.peekRecord()
-	if !ok {
-		return nextNone
-	}
-	tr, lvl := c.tlb.Peek(rec.VAddr)
-	if lvl == tlb.Miss {
-		return nextSerial
-	}
-	if c.hier.PrivateAccess(tr.Translate(rec.VAddr)) {
-		return nextPrivate
-	}
-	return nextShared
-}
-
-// absorbableReady reports whether the next record could enter an epoch
-// (provably no page walk). The epoch-seeding yield stops batches only
-// at boundaries a probe could use.
-func (c *Core) absorbableReady() bool {
-	k := c.classifyNext()
-	return k == nextPrivate || k == nextShared
-}
-
-// obsRoom reports whether the epoch event buffer can take one more
-// record's worth of events (a completed record emits at most three).
-func (c *Core) obsRoom() bool {
-	return c.obs == nil || len(c.obsBuf)+3 <= cap(c.obsBuf)
-}
-
-// runEpoch is the epoch worker body: the coordinator calls it
-// concurrently on distinct cores. The core absorbs records until one
-// cannot be proven absorbable under the epoch's contract, publishing
-// its boundary clock after every commit and its terminal lane state
-// (laneBlocked: pending serial work at the published clock; laneOpen:
-// parked on DRAM or trace exhausted) on exit. Private records run
-// freely; shared-capable records serialize through es.waitTurn in
-// ascending (boundary clock, core id) — the serial pick order — and
-// only below this core's ceiling. Returns the records completed (a
-// record that parked on DRAM finishes — and is counted — later, under
-// the serial engine).
-func (c *Core) runEpoch(es *epochState) (executed uint64) {
-	m := &c.sys.machine
-	lane := &es.lanes[c.id]
-	for {
-		switch c.classifyNext() {
-		case nextPrivate:
-			if es.limit != ^uint64(0) {
-				// Queue mode 2: the record must finish strictly below
-				// the controller's minimum enqueue cycle so the serial
-				// guard's DrainUpTo(now) stays a provable no-op. The
-				// bound is the record's worst-case clock advance.
-				rec, _ := c.peekRecord()
-				gap := (uint64(rec.Gap) + uint64(m.NonMemIPC) - 1) / uint64(m.NonMemIPC)
-				adv := gap + m.L2TLBPenalty + m.Caches.L1.LatencyC + m.Caches.L2.LatencyC
-				if c.now+adv >= es.limit {
-					lane.state.Store(laneBlocked)
-					return executed
-				}
-			}
-			if !c.obsRoom() {
-				lane.state.Store(laneBlocked)
-				return executed
-			}
-			c.commitPrivate(m)
-			lane.pub.Store(c.now)
-			executed++
-		case nextShared:
-			t := c.now
-			if !es.full || !es.sharedOK[c.id] || t > es.ceil[c.id] || !c.obsRoom() {
-				lane.state.Store(laneBlocked)
-				return executed
-			}
-			if !es.waitTurn(c.id, t) {
-				lane.state.Store(laneBlocked)
-				return executed
-			}
-			// Budget is read and spent strictly under the turn.
-			if es.budget < epochSubmitMargin {
-				lane.state.Store(laneBlocked)
-				return executed
-			}
-			if c.commitShared(m, es) {
-				// Parked on DRAM: nothing further this epoch, and no
-				// constraint on peers (the request cannot complete —
-				// nothing serves during an epoch). The laneOpen store
-				// also publishes the commit's submissions to peers.
-				// The parked record counts as epoch work — its front
-				// half (TLB, caches, submission) ran here — but the
-				// coordinator discounts it from the run's record
-				// tally, which the serial engine bumps when the wait
-				// resolves.
-				lane.state.Store(laneOpen)
-				return executed + 1
-			}
-			lane.pub.Store(c.now)
-			executed++
-		case nextNone:
-			lane.state.Store(laneOpen)
-			return executed
-		default: // nextSerial
-			lane.state.Store(laneBlocked)
-			return executed
-		}
-	}
-}
-
-// commitPrivate executes one provably-private record: the serial fast
-// path's TLB-hit branch (or, on observed runs, the slow path minus its
-// provable no-ops) replicated byte for byte. The shared-state
-// touchpoints the serial paths would cross are no-ops under the epoch
-// gates: ApplyFills (fill queue empty), Touch (TLB hit proves
-// residency) and the queue-pressure guard (mode bounds), and the
-// asserted L1/L2 service proves there is no writeback, provenance or
-// replay bookkeeping to do.
-func (c *Core) commitPrivate(m *Machine) {
-	rec, _ := c.nextRecord() // the peeked record; cannot fail
-	c.ran++
-	c.rec = rec
-	gap := (uint64(rec.Gap) + uint64(m.NonMemIPC) - 1) / uint64(m.NonMemIPC)
-	c.now += gap
-	c.st.CPIStack[stats.CPICompute] += gap
-	c.st.Instructions += uint64(rec.Gap) + 1
-	c.st.MemRefs++
-	c.obsStart = c.now
-
-	tr, lvl := c.tlb.Lookup(rec.VAddr)
-	if lvl == tlb.Miss {
-		panic("private record missed the TLB after a peek hit")
-	}
-	c.st.TLBHits++
-	if c.obs.Active() {
-		// The serial slow path emits the lookup before applying the L2
-		// penalty; keep the same cycle stamp.
-		c.obsBuf = append(c.obsBuf, obsv.Event{Kind: obsv.EvTLBLookup, Cycle: c.now,
-			Core: int16(c.id), A: uint8(lvl), Addr: uint64(rec.VAddr)})
-	}
-	if lvl == tlb.HitL2 {
-		c.now += m.L2TLBPenalty
-		c.st.CPIStack[stats.CPITLBL2] += m.L2TLBPenalty
-	}
-	c.tr = tr
-	c.walked, c.leafDRAM = false, false
-	c.p = tr.Translate(rec.VAddr)
-	c.write = rec.Kind == trace.Store
-	c.ar = c.hier.Access(c.p, c.write)
-	if c.obs.Active() {
-		c.obsBuf = append(c.obsBuf, obsv.Event{Kind: obsv.EvCacheAccess, Cycle: c.now,
-			Dur: c.ar.Latency, Core: int16(c.id), Addr: uint64(c.p),
-			A: uint8(c.ar.Served), B: 0})
-	}
-	switch c.ar.Served {
-	case cache.ServedL1:
-		c.now += c.ar.Latency
-		c.st.CPIStack[stats.CPIDataL1] += c.ar.Latency
-	case cache.ServedL2:
-		c.now += c.ar.Latency
-		c.st.CPIStack[stats.CPIDataL2] += c.ar.Latency
-		c.servedDRAM = false
-		c.outcome = stats.RowHit
-		if len(c.ar.Writebacks) != 0 {
-			panic("private record produced writebacks")
-		}
-	default:
-		panic("private record escaped the core's private caches")
-	}
-	if c.obs.Active() {
-		c.obsBuf = append(c.obsBuf, obsv.Event{Kind: obsv.EvRecord, Cycle: c.obsStart,
-			Dur: c.now - c.obsStart, Core: int16(c.id), Addr: uint64(rec.VAddr)})
-	}
-}
-
-// commitShared executes one shared-capable record under the caller's
-// turn: the serial TLB-hit path through the shared LLC, including
-// writeback submissions (spending es.budget) and phTail's
-// LLC-provenance bookkeeping. Returns parked=true when the record
-// missed the LLC: the DRAM request is submitted and the core parks
-// exactly as the serial dispatchAccess would (c.now left pre-latency;
-// the resume, tail and record count happen later under the serial
-// engine).
-func (c *Core) commitShared(m *Machine, es *epochState) (parked bool) {
-	rec, _ := c.nextRecord() // the peeked record; cannot fail
-	c.ran++
-	c.rec = rec
-	gap := (uint64(rec.Gap) + uint64(m.NonMemIPC) - 1) / uint64(m.NonMemIPC)
-	c.now += gap
-	c.st.CPIStack[stats.CPICompute] += gap
-	c.st.Instructions += uint64(rec.Gap) + 1
-	c.st.MemRefs++
-	c.obsStart = c.now
-
-	tr, lvl := c.tlb.Lookup(rec.VAddr)
-	if lvl == tlb.Miss {
-		panic("shared record missed the TLB after a peek hit")
-	}
-	c.st.TLBHits++
-	if c.obs.Active() {
-		c.obsBuf = append(c.obsBuf, obsv.Event{Kind: obsv.EvTLBLookup, Cycle: c.now,
-			Core: int16(c.id), A: uint8(lvl), Addr: uint64(rec.VAddr)})
-	}
-	if lvl == tlb.HitL2 {
-		c.now += m.L2TLBPenalty
-		c.st.CPIStack[stats.CPITLBL2] += m.L2TLBPenalty
-	}
-	c.tr = tr
-	c.walked, c.leafDRAM = false, false
-	c.p = tr.Translate(rec.VAddr)
-	c.write = rec.Kind == trace.Store
-	c.ar = c.hier.Access(c.p, c.write)
-	if c.obs.Active() {
-		c.obsBuf = append(c.obsBuf, obsv.Event{Kind: obsv.EvCacheAccess, Cycle: c.now,
-			Dur: c.ar.Latency, Core: int16(c.id), Addr: uint64(c.p),
-			A: uint8(c.ar.Served), B: 0})
-	}
-	if c.ar.Served == cache.ServedDRAM {
-		req := c.pool.Get()
-		req.Addr = c.p.Line()
-		req.Category = stats.DRAMOther // walked is false here
-		req.CoreID = c.id
-		req.Enqueue = c.now + c.ar.Latency + m.Interconnect
-		req.MarkWaiter()
-		c.sys.ctrl.Submit(req)
-		es.budget--
-		c.waitReq = req
-		c.phase = phAccessResume
-		return true
-	}
-	c.now += c.ar.Latency
-	switch c.ar.Served {
-	case cache.ServedL1:
-		// An L1 hit has no fill cascade, so PrivateAccess would have
-		// classified it private.
-		panic("shared-classified record served from L1")
-	case cache.ServedL2:
-		c.st.CPIStack[stats.CPIDataL2] += c.ar.Latency
-	default:
-		c.st.CPIStack[stats.CPIDataLLC] += c.ar.Latency
-	}
-	c.servedDRAM = false
-	c.outcome = stats.RowHit
-	// phTail under the turn: dirty LLC victims submit against the live
-	// controller in serial commit order; the epoch budget proves the
-	// queue-pressure guard dormant, so the serial guard's drain call is
-	// a skipped no-op, not a divergence.
-	for _, a := range c.ar.Writebacks {
-		req := c.pool.Get()
-		req.Addr = a.Line()
-		req.Write = true
-		req.Category = stats.DRAMWriteback
-		req.CoreID = c.id
-		req.Enqueue = c.now
-		req.AutoRelease = true
-		c.sys.ctrl.Submit(req)
-		es.budget--
-	}
-	if es.budget < 0 {
-		panic("epoch submission budget overdrawn")
-	}
-	// phTail's prefetch-usefulness bookkeeping; walked is false, so
-	// there is no hidden-by-prefetch credit and no replay
-	// classification.
-	if c.ar.Served == cache.ServedLLC {
-		switch c.ar.Provenance {
-		case cache.FillTempo:
-			c.st.TempoUseful++
-		case cache.FillIMP:
-			c.st.IMPUseful++
-		case cache.FillSpec:
-			if c.mech != nil {
-				c.mech.OnPrefetchUseful()
-			}
-		}
-	}
-	if c.obs.Active() {
-		c.obsBuf = append(c.obsBuf, obsv.Event{Kind: obsv.EvRecord, Cycle: c.obsStart,
-			Dur: c.now - c.obsStart, Core: int16(c.id), Addr: uint64(rec.VAddr)})
-	}
-	return false
-}
+// queueGuardDepth is the controller queue depth above which a core
+// drains everything schedulable by its clock (DrainUpTo), so a long
+// store-heavy cache-hit streak cannot accumulate unbounded writebacks.
+const queueGuardDepth = 128
 
 // submitWritebacks turns dirty LLC victims into fire-and-forget DRAM
 // write transactions. They drain whenever the controller runs; a
@@ -954,8 +579,8 @@ func (c *Core) submitWritebacks(addrs []mem.PAddr) {
 		req.AutoRelease = true
 		c.sys.ctrl.Submit(req)
 	}
-	if c.sys.ctrl.QueueLen() > serialGuardQueue {
-		c.sys.ctrl.DrainUpToParallel(c.now, c.sys.cfg.Workers)
+	if c.sys.ctrl.QueueLen() > queueGuardDepth {
+		c.sys.ctrl.DrainUpTo(c.now)
 	}
 }
 

@@ -9,8 +9,7 @@ import (
 
 // mechPort implements translation.CorePort over one core: the window a
 // mechanism's per-core hooks get onto the cache hierarchy and the
-// shared memory controller. Cores with mechanism hooks always execute
-// under the serial coordinator (System.Run disables the epoch pool),
+// shared memory controller. The coordinator runs one core at a time,
 // so these methods may touch shared state freely.
 type mechPort struct{ c *Core }
 

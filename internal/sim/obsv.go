@@ -67,9 +67,7 @@ func (s *System) Attach(o *obsv.Observer) {
 				// Mid-run snapshot: stamp the per-core clock the way Run
 				// does at the end, so live gauges satisfy the same
 				// cpi-stack conservation law as finished results. Safe to
-				// copy: gauges fire on the simulation thread, and interval
-				// snapshots force the serial engine (only full-range event
-				// recorders are epoch-capable).
+				// copy: gauges fire on the simulation thread.
 				cs := *c.st
 				cs.Cycles = c.now
 				cs.CPICycles = c.now
@@ -77,45 +75,6 @@ func (s *System) Attach(o *obsv.Observer) {
 			}
 			return t
 		})
-		// Intra-run parallelism counters. Interval observers force the
-		// serial engine (epoch attempts gate off on interval stats and
-		// record-range filters), so these gauges read zero on
-		// interval-observed runs; a pure full-range event recorder is
-		// epoch-capable and sees live values. They are registered
-		// unconditionally so dashboards get a stable schema either way.
-		o.Reg.Gauge("sim/epochs", func() uint64 {
-			return s.ParallelStats().Epochs
-		})
-		o.Reg.Gauge("sim/barrier_stalls", func() uint64 {
-			return s.ParallelStats().BarrierStalls
-		})
-		o.Reg.Gauge("sim/epoch_records", func() uint64 {
-			return s.ParallelStats().EpochRecords
-		})
-		// The canonical engagement gauge: epoch-absorbed records as a
-		// fraction of all executed records, in basis points (10000 =
-		// every record ran inside an epoch). The denominator reads the
-		// live per-core progress so the gauge is meaningful mid-run.
-		o.Reg.Gauge("sim/epoch_engagement_bp", func() uint64 {
-			var total uint64
-			for _, c := range s.cores {
-				total += uint64(c.ran)
-			}
-			if total == 0 {
-				return 0
-			}
-			return s.ParallelStats().EpochRecords * 10_000 / total
-		})
-		for w := 0; w < s.cfg.Workers; w++ {
-			w := w
-			o.Reg.Gauge(fmt.Sprintf("sim/worker%d_records", w), func() uint64 {
-				ps := s.ParallelStats()
-				if w < len(ps.WorkerRecords) {
-					return ps.WorkerRecords[w]
-				}
-				return 0
-			})
-		}
 	}
 }
 

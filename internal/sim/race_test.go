@@ -75,34 +75,3 @@ func TestConcurrentRunsAreIndependent(t *testing.T) {
 		}
 	}
 }
-
-// TestWorkersUnderRace exercises the intra-run parallel paths — the
-// epoch worker pool and the sharded end-of-run drain — under the race
-// detector. The locality config is the one TestEpochsEngage proves
-// actually executes epochs, so a data race on any epoch-shared state
-// (core fields, pool scratch, controller clone install) is visible to
-// -race rather than hidden behind a bailed-out serial fallback.
-func TestWorkersUnderRace(t *testing.T) {
-	cfg := localCfg(4)
-	cfg.Workers = 1
-	ref, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	cfg.Workers = 4
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total != ref.Total {
-		t.Errorf("workers=4 diverged from serial (cycles %d vs %d)",
-			res.Total.Cycles, ref.Total.Cycles)
-	}
-	if ps := s.ParallelStats(); ps.Epochs == 0 {
-		t.Error("locality config executed no epochs; the race test is not covering the pool")
-	}
-}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -280,5 +282,46 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Records = 10
 	if _, err := Run(cfg); err == nil {
 		t.Error("unknown workload should fail")
+	}
+}
+
+// TestMachineValidation feeds New the machine parameters the core
+// model cannot run with: a NonMemIPC below 1 divides every record's
+// instruction gap by zero (or wraps it), and an OtherOverlap outside
+// [0, 1] wraps the stall charge into a near-endless run. New must
+// reject each with an error naming the field, so Run is never reached.
+func TestMachineValidation(t *testing.T) {
+	cases := []struct {
+		name  string
+		field string
+		edit  func(*Machine)
+	}{
+		{"ipc-zero", "NonMemIPC", func(m *Machine) { m.NonMemIPC = 0 }},
+		{"ipc-negative", "NonMemIPC", func(m *Machine) { m.NonMemIPC = -2 }},
+		{"overlap-negative", "OtherOverlap", func(m *Machine) { m.OtherOverlap = -3 }},
+		{"overlap-above-one", "OtherOverlap", func(m *Machine) { m.OtherOverlap = 1.5 }},
+		{"overlap-nan", "OtherOverlap", func(m *Machine) { m.OtherOverlap = math.NaN() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickCfg("xsbench", 1_000)
+			tc.edit(&cfg.Machine)
+			s, err := New(cfg)
+			if err == nil || s != nil {
+				t.Fatalf("New accepted %s (system %v, err %v)", tc.name, s, err)
+			}
+			if !strings.Contains(err.Error(), "Machine."+tc.field) {
+				t.Errorf("error %q does not name Machine.%s", err, tc.field)
+			}
+		})
+	}
+	// The bounds themselves are valid.
+	cfg := quickCfg("xsbench", 1_000)
+	cfg.Machine.NonMemIPC = 1
+	for _, v := range []float64{0, 1} {
+		cfg.Machine.OtherOverlap = v
+		if _, err := New(cfg); err != nil {
+			t.Errorf("OtherOverlap=%v rejected: %v", v, err)
+		}
 	}
 }

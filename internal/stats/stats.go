@@ -278,9 +278,16 @@ func (s *Stats) DRAMRefFraction(c DRAMCategory) float64 {
 }
 
 // RuntimeFraction returns the fraction of cycles attributed to the
-// given DRAM category (Figure 1's y-axis).
+// given DRAM category (Figure 1's y-axis). The denominator is
+// CPICycles, which sums per-core runtimes under Add (Cycles takes the
+// max), so merged multi-core fractions stay within [0, 1]; results
+// without CPI attribution fall back to Cycles.
 func (s *Stats) RuntimeFraction(c DRAMCategory) float64 {
-	if s.Cycles == 0 {
+	cycles := s.CPICycles
+	if cycles == 0 {
+		cycles = s.Cycles
+	}
+	if cycles == 0 {
 		return 0
 	}
 	var n uint64
@@ -292,7 +299,7 @@ func (s *Stats) RuntimeFraction(c DRAMCategory) float64 {
 	case DRAMOther:
 		n = s.OtherDRAMCycles
 	}
-	return float64(n) / float64(s.Cycles)
+	return float64(n) / float64(cycles)
 }
 
 // LeafPTWFraction returns the share of DRAM page-table references that

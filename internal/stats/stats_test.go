@@ -85,6 +85,29 @@ func TestRuntimeFraction(t *testing.T) {
 	}
 }
 
+// TestRuntimeFractionMultiCore merges four per-core results the way a
+// multi-core run's Total is built: Cycles becomes the slowest core's
+// runtime while the DRAM stall cycles sum, so only the summed
+// CPICycles keeps the fractions a share of runtime.
+func TestRuntimeFractionMultiCore(t *testing.T) {
+	var total Stats
+	for i := uint64(0); i < 4; i++ {
+		cycles := 1000 + 100*i
+		core := Stats{Cycles: cycles, CPICycles: cycles,
+			PTWDRAMCycles: cycles / 4, ReplayDRAMCycles: cycles / 5, OtherDRAMCycles: cycles / 3}
+		total.Add(&core)
+	}
+	sum := total.RuntimeFraction(DRAMPTW) + total.RuntimeFraction(DRAMReplay) +
+		total.RuntimeFraction(DRAMOther)
+	if sum > 1 {
+		t.Errorf("merged runtime fractions sum to %.3f, want <= 1", sum)
+	}
+	if want := float64(total.PTWDRAMCycles) / 4600; !almost(total.RuntimeFraction(DRAMPTW), want) {
+		t.Errorf("PTW fraction %.4f, want %.4f (over summed per-core cycles)",
+			total.RuntimeFraction(DRAMPTW), want)
+	}
+}
+
 func TestLeafAndReplayFractions(t *testing.T) {
 	var s Stats
 	s.DRAMRefs[DRAMPTW] = 100

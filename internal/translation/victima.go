@@ -33,8 +33,8 @@ type victimaEntry struct {
 }
 
 // victimaMech holds run-wide counters; the tag stores are per-core.
-// Cores with mechanism hooks run serially (the simulator disables the
-// epoch-barrier engine), so unsynchronized shared counters are safe.
+// The simulator runs one core at a time, so unsynchronized shared
+// counters are safe.
 type victimaMech struct {
 	lookups   uint64
 	pteHits   uint64

@@ -66,10 +66,8 @@ func TestBenchHistoryDedupesUnchangedCommit(t *testing.T) {
 }
 
 // Every snapshot (and therefore every history record, which embeds the
-// snapshot verbatim) carries the host it was measured on: the parallel
-// numbers — intra_run_speedup above all — only compare across hosts
-// with the same core count, and the perf gate keys its strictness off
-// num_cpu.
+// snapshot verbatim) carries the host it was measured on: throughput
+// numbers only compare across like hosts.
 func TestBenchSnapshotCarriesHostMetadata(t *testing.T) {
 	if _, err := exec.LookPath("bash"); err != nil {
 		t.Skip("bash not available")
@@ -104,6 +102,55 @@ func TestBenchSnapshotCarriesHostMetadata(t *testing.T) {
 	line := historyLines(t, dir)[0]
 	if !strings.Contains(line, `"host":`) || !strings.Contains(line, `"num_cpu":`) {
 		t.Errorf("history record lost the host metadata: %s", line)
+	}
+}
+
+// The snapshot holds exactly the three measured hot paths, each with
+// an "after" measurement; the perf gate diffs these sections leaf by
+// leaf, so a section appearing or vanishing changes what it gates.
+func TestBenchSnapshotSections(t *testing.T) {
+	if _, err := exec.LookPath("bash"); err != nil {
+		t.Skip("bash not available")
+	}
+	dir := t.TempDir()
+	runBench(t, dir)
+
+	blob, err := os.ReadFile(filepath.Join(dir, "hotpath.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &snap); err != nil {
+		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, blob)
+	}
+	want := []string{"xsbench_tempo", "multicore_tempo", "graph500_baseline"}
+	known := map[string]bool{"benchmark": true, "records_per_run": true, "baseline_commit": true, "host": true}
+	for _, k := range want {
+		known[k] = true
+	}
+	for k := range snap {
+		if !known[k] {
+			t.Errorf("unexpected snapshot section %q", k)
+		}
+	}
+	for _, k := range want {
+		var sec struct {
+			After struct {
+				RecordsPerSec   float64  `json:"records_per_sec"`
+				AllocsPerRecord *float64 `json:"allocs_per_record"`
+			} `json:"after"`
+		}
+		raw, ok := snap[k]
+		if !ok {
+			t.Errorf("snapshot lacks section %q", k)
+			continue
+		}
+		if err := json.Unmarshal(raw, &sec); err != nil {
+			t.Fatalf("section %q: %v", k, err)
+		}
+		if sec.After.RecordsPerSec <= 0 || sec.After.AllocsPerRecord == nil {
+			t.Errorf("section %q lacks after.records_per_sec / allocs_per_record: %s", k, raw)
+		}
 	}
 }
 
