@@ -3,6 +3,8 @@
 // page-walk caches, and the adaptive row-policy prediction cache.
 package assoc
 
+import "fmt"
+
 // Assoc is a set-associative array with LRU replacement mapping uint64
 // keys to values of type V. Sets must be a power of two.
 //
@@ -19,11 +21,26 @@ type Assoc[V any] struct {
 	vals       []V
 }
 
+// CheckGeometry reports why sets × ways cannot build an array: sets
+// must be a positive power of two and ways positive. The error text
+// begins with the offending field's name ("Sets" or "Ways"), so a
+// config holding the pair can prefix its own path.
+func CheckGeometry(sets, ways int) error {
+	if sets <= 0 || sets&(sets-1) != 0 {
+		return fmt.Errorf("Sets must be a positive power of two, got %d", sets)
+	}
+	if ways <= 0 {
+		return fmt.Errorf("Ways must be positive, got %d", ways)
+	}
+	return nil
+}
+
 // New builds an array with the given geometry. A sets value of 1
-// yields a fully-associative array. Panics on invalid geometry.
+// yields a fully-associative array. Panics on invalid geometry
+// (CheckGeometry).
 func New[V any](sets, ways int) *Assoc[V] {
-	if sets <= 0 || ways <= 0 || sets&(sets-1) != 0 {
-		panic("assoc: sets must be a positive power of two and ways positive")
+	if err := CheckGeometry(sets, ways); err != nil {
+		panic("assoc: " + err.Error())
 	}
 	n := sets * ways
 	return &Assoc[V]{

@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/mem"
@@ -102,17 +103,31 @@ type Config struct {
 	Replace Replacement
 }
 
-// New builds a cache. Size must be a power-of-two multiple of
-// Ways × 64B lines.
+// Validate reports why a cache cannot be built from cfg: Ways must be
+// positive and SizeB a power-of-two number of sets of Ways × 64B
+// lines. The error text begins with the offending field's name, so a
+// caller can prefix the config's own path.
+func (cfg Config) Validate() error {
+	lines := cfg.SizeB / mem.LineSize
+	switch {
+	case cfg.Ways <= 0:
+		return fmt.Errorf("Ways must be positive, got %d", cfg.Ways)
+	case cfg.SizeB == 0 || cfg.SizeB%mem.LineSize != 0:
+		return fmt.Errorf("SizeB must be a positive multiple of %dB lines, got %d", mem.LineSize, cfg.SizeB)
+	case lines%uint64(cfg.Ways) != 0:
+		return fmt.Errorf("Ways must divide the %d lines of SizeB, got %d", lines, cfg.Ways)
+	case bits.OnesCount64(lines/uint64(cfg.Ways)) != 1:
+		return fmt.Errorf("SizeB must hold a power-of-two number of %d-way sets, got %d sets", cfg.Ways, lines/uint64(cfg.Ways))
+	}
+	return nil
+}
+
+// New builds a cache. It panics on a geometry Validate rejects.
 func New(cfg Config) *Cache {
-	if cfg.Ways <= 0 || cfg.SizeB == 0 {
-		panic(fmt.Sprintf("cache %q: invalid geometry", cfg.Name))
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("cache %q: %v", cfg.Name, err))
 	}
-	linesTotal := cfg.SizeB / mem.LineSize
-	sets := int(linesTotal) / cfg.Ways
-	if sets <= 0 || sets&(sets-1) != 0 || uint64(sets*cfg.Ways)*mem.LineSize != cfg.SizeB {
-		panic(fmt.Sprintf("cache %q: %dB/%d-way does not form a power-of-two set count", cfg.Name, cfg.SizeB, cfg.Ways))
-	}
+	sets := int(cfg.SizeB/mem.LineSize) / cfg.Ways
 	setShift := uint(0)
 	for 1<<setShift < sets {
 		setShift++

@@ -1,7 +1,7 @@
 package dram
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/obsv"
@@ -114,8 +114,8 @@ func NewController(cfg Config, sched Scheduler, st *stats.Stats) *Controller {
 		panic("dram: controller needs a scheduler and stats")
 	}
 	g := cfg.Geometry
-	if g.Channels <= 0 || g.BanksPerCh <= 0 || g.RowBytes == 0 {
-		panic(fmt.Sprintf("dram: invalid geometry %+v", g))
+	if err := g.Validate(); err != nil {
+		panic("dram: invalid geometry: " + err.Error())
 	}
 	c := &Controller{cfg: cfg, sched: sched, st: st,
 		chans: make([]chanState, g.Channels)}
@@ -197,7 +197,11 @@ func (c *Controller) ServeOne() *Request {
 // executeOne serves the scheduler's chosen request and returns it.
 // The queue must be non-empty.
 func (c *Controller) executeOne() *Request {
-	idx := c.sched.Pick(c.queue, c.clock(), c)
+	return c.serve(c.sched.Pick(c.queue, c.clock(), c))
+}
+
+// serve executes the queued request at idx and returns it.
+func (c *Controller) serve(idx int) *Request {
 	r := c.queue[idx]
 	c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
 
@@ -373,36 +377,10 @@ func (c *Controller) DrainUpTo(t uint64) {
 		if len(eligible) == 0 {
 			return
 		}
-		idx := c.sched.Pick(eligible, c.clock(), c)
-		c.executeSpecific(eligible[idx])
+		target := eligible[c.sched.Pick(eligible, c.clock(), c)]
+		c.serve(slices.Index(c.queue, target))
 	}
 }
-
-// executeSpecific serves exactly target (the scheduler has already
-// chosen it from a filtered view), applying the same timing and hooks
-// as executeOne.
-func (c *Controller) executeSpecific(target *Request) {
-	for i, r := range c.queue {
-		if r == target {
-			saved := c.sched
-			c.sched = pinned{idx: i, inner: saved}
-			c.executeOne()
-			c.sched = saved
-			return
-		}
-	}
-	panic("dram: executeSpecific target not queued")
-}
-
-// pinned is a one-shot scheduler that picks a fixed index but still
-// forwards completion events to the real scheduler.
-type pinned struct {
-	idx   int
-	inner Scheduler
-}
-
-func (p pinned) Pick(q []*Request, _ uint64, _ RowPeeker) int { return p.idx }
-func (p pinned) OnServed(r *Request, now uint64)              { p.inner.OnServed(r, now) }
 
 // Drain executes everything in the queue (end of simulation).
 func (c *Controller) Drain() {

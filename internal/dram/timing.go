@@ -1,6 +1,10 @@
 package dram
 
-import "repro/internal/mem"
+import (
+	"fmt"
+
+	"repro/internal/mem"
+)
 
 // Timing holds DDR timing parameters expressed in CPU cycles (the
 // simulator keeps a single clock domain; see DESIGN.md for the ns
@@ -90,6 +94,21 @@ type Geometry struct {
 	// PrefetchSubRows dedicates this many sub-rows to TEMPO
 	// prefetches (the paper finds 2 of 8 best).
 	PrefetchSubRows int
+}
+
+// Validate reports why g cannot address DRAM: the channel, bank and
+// row-size dimensions must be positive. The error text begins with the
+// offending field's name, so a caller can prefix the config's own path.
+func (g Geometry) Validate() error {
+	switch {
+	case g.Channels <= 0:
+		return fmt.Errorf("Channels must be positive, got %d", g.Channels)
+	case g.BanksPerCh <= 0:
+		return fmt.Errorf("BanksPerCh must be positive, got %d", g.BanksPerCh)
+	case g.RowBytes == 0:
+		return fmt.Errorf("RowBytes must be positive, got %d", g.RowBytes)
+	}
+	return nil
 }
 
 // DefaultGeometry returns 2 channels × 8 banks with 8KB rows and a

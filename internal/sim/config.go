@@ -90,10 +90,27 @@ func DefaultMachine() Machine {
 	}
 }
 
-// validate rejects machine parameters the core model cannot run with:
-// NonMemIPC divides every record's instruction gap, and OtherOverlap
-// scales DRAM stall cycles (outside [0, 1] the charge wraps around).
+// validate rejects machine parameters the simulator cannot run with:
+// TLB, page-walk-cache, cache and DRAM geometries their own packages
+// cannot build; a NonMemIPC below 1, which divides every record's
+// instruction gap; and an OtherOverlap outside [0, 1], where the DRAM
+// stall charge wraps around.
 func (m *Machine) validate() error {
+	for _, g := range [...]struct {
+		field string
+		err   error
+	}{
+		{"TLB", m.TLB.Validate()},
+		{"MMU", m.MMU.Validate()},
+		{"Caches.L1", m.Caches.L1.Validate()},
+		{"Caches.L2", m.Caches.L2.Validate()},
+		{"Caches.LLC", m.Caches.LLC.Validate()},
+		{"DRAM.Geometry", m.DRAM.Geometry.Validate()},
+	} {
+		if g.err != nil {
+			return fmt.Errorf("sim: Machine.%s.%w", g.field, g.err)
+		}
+	}
 	if m.NonMemIPC < 1 {
 		return fmt.Errorf("sim: Machine.NonMemIPC must be at least 1, got %d", m.NonMemIPC)
 	}

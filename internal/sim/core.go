@@ -29,12 +29,9 @@ const (
 	coreDone
 )
 
-// corePhase is the explicit resume point of the core state machine.
-// The core used to run as a goroutine-coroutine parked on channels;
-// the phases are exactly the old yield points, made explicit so the
-// coordinator can resume a core with a plain method call — zero
-// goroutines, zero channel operations, zero scheduler involvement on
-// the per-record path.
+// corePhase is the explicit resume point of the core state machine:
+// the coordinator resumes a core with a plain method call, so the
+// per-record path runs no goroutines and no channel operations.
 type corePhase uint8
 
 const (
@@ -67,7 +64,7 @@ type Core struct {
 	hier   *cache.Hierarchy
 	imp    *prefetch.IMP
 	// mech is this core's translation-mechanism hooks (nil for tempo
-	// and the baseline, which keeps the fast path below engaged).
+	// and the baseline, which need none).
 	mech   translation.CoreHooks
 	stream trace.Stream
 	st     *stats.Stats
@@ -113,9 +110,10 @@ type Core struct {
 
 // step resumes the core and runs it until its next yield point: a
 // submitted DRAM request the core must wait on (coreWait, request
-// returned), end of trace (coreDone), or — new with run-ahead
-// batching — coreStep after executing one or more whole trace records
-// (executed reports how many). The coordinator passes a horizon:
+// returned), end of trace (coreDone), or coreStep after executing one
+// or more whole trace records (executed reports how many). Every record
+// takes the same path: phRecord, then phWalk when the TLB misses, then
+// phAccess and phTail. The coordinator passes a horizon:
 // limit is the largest clock at which this core would still win the
 // min-clock pick against every other ready core, and budget caps the
 // batch at the next interval-stats boundary so flushes stay
@@ -134,6 +132,9 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 			status, waitOn = coreDone, nil
 		}
 	}()
+	if c.waitReq != nil && !c.waitReq.Done {
+		panic("core resumed before its request completed")
+	}
 	m := &c.sys.machine
 	waiters := c.sys.ctrl.ServedWaiters()
 	for {
@@ -154,82 +155,20 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 			c.st.Instructions += uint64(rec.Gap) + 1
 			c.st.MemRefs++
 
-			// Fast path: with no prefetcher and no event recorder
-			// attached, a TLB hit proves the page is resident (demand
-			// paging cannot have skipped it and nothing unmaps pages
-			// mid-run), so the Touch residency check is a pure no-op and
-			// the record reduces to translate + cache probe. An L1 hit
-			// then needs none of the tail bookkeeping (no writebacks, no
-			// replay classification) beyond the writeback-queue pressure
-			// guard. This skips the full state machine on the two
-			// branches that dominate hot-path records.
-			if c.imp == nil && c.obs == nil && c.mech == nil {
-				tr, lvl := c.tlb.Lookup(rec.VAddr)
-				if lvl != tlb.Miss {
-					c.st.TLBHits++
-					if lvl == tlb.HitL2 {
-						c.now += m.L2TLBPenalty
-						c.st.CPIStack[stats.CPITLBL2] += m.L2TLBPenalty
-					}
-					c.tr = tr
-					c.walked, c.leafDRAM = false, false
-					c.p = tr.Translate(rec.VAddr)
-					c.write = rec.Kind == trace.Store
-					c.sys.mem.ApplyFills(c.now + m.Caches.LLC.LatencyC)
-					c.ar = c.hier.Access(c.p, c.write)
-					if c.ar.Served == cache.ServedL1 {
-						c.now += c.ar.Latency
-						c.st.CPIStack[stats.CPIDataL1] += c.ar.Latency
-						if c.sys.ctrl.QueueLen() > queueGuardDepth {
-							c.sys.ctrl.DrainUpTo(c.now)
-						}
-						executed++
-						if executed >= budget || c.now > limit ||
-							c.sys.ctrl.ServedWaiters() != waiters {
-							return coreStep, nil, executed
-						}
-						continue
-					}
-					if req := c.dispatchAccess(m); req != nil {
-						return coreWait, req, executed
-					}
-					continue // phTail
-				}
-				c.st.TLBMisses++
-				// TLB miss: the walker's own software descent doubles as
-				// the residency check — only when it fails does the page
-				// need faulting in (first touch), after which the descent
-				// reruns against the updated table. This replaces the
-				// separate Touch lookup + Begin walk with a single
-				// descent on the common resident path.
-				steps, n, ok := c.walker.TableWalk(rec.VAddr)
-				if !ok {
-					if _, _, err := c.as.Touch(rec.VAddr); err != nil {
-						panic(fmt.Sprintf("touch %#x: %v", uint64(rec.VAddr), err))
-					}
-					steps, n, ok = c.walker.TableWalk(rec.VAddr)
-				}
-				c.tr = tr
-				c.walked, c.leafDRAM = false, false
-				c.walker.BeginPrepared(&c.ws, rec.VAddr, c.now, steps, n, ok)
-				c.phase = phWalk
-				continue
-			}
-
 			c.obs.BeginRecord(c.id, uint64(c.ran-1))
 			c.obsStart = c.now
 
-			// Demand paging: ensure the page is resident. Fault cost is
-			// excluded (traces model a warmed system; DESIGN.md).
-			if _, _, err := c.as.Touch(rec.VAddr); err != nil {
-				panic(fmt.Sprintf("touch %#x: %v", uint64(rec.VAddr), err))
-			}
-
-			// IMP: issue prefetches from the lookahead edge.
+			// IMP: issue prefetches from the lookahead edge. impIssue
+			// drops targets on unmapped pages, so the record's own page
+			// is faulted in first.
 			if c.imp != nil {
+				c.touch(rec.VAddr)
 				c.impIssue()
 			}
 
+			// A TLB hit proves the page is resident (demand paging cannot
+			// have skipped it and nothing unmaps pages mid-run); a miss
+			// checks residency before its walk.
 			tr, lvl := c.tlb.Lookup(rec.VAddr)
 			c.tr = tr
 			c.walked, c.leafDRAM = false, false
@@ -264,7 +203,15 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 						continue
 					}
 				}
-				c.walker.Begin(&c.ws, rec.VAddr, c.now)
+				// The walker's software descent doubles as the residency
+				// check: only when it fails is the page faulted in (first
+				// touch) and the table descended again.
+				steps, n, ok := c.as.Table().Walk(rec.VAddr)
+				if !ok {
+					c.touch(rec.VAddr)
+					steps, n, ok = c.as.Table().Walk(rec.VAddr)
+				}
+				c.walker.Begin(&c.ws, rec.VAddr, c.now, steps, n, ok)
 				c.phase = phWalk
 			}
 
@@ -300,30 +247,19 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 				continue
 			}
 			at := c.now + c.ws.Latency()
-			c.sys.mem.ApplyFills(at)
-			ar := c.hier.Access(wstep.PTEAddr, false)
-			if ar.Served != cache.ServedDRAM {
-				c.ws.Feed(ar.Latency, false)
+			lat, req := c.readPTE(wstep.PTEAddr, wstep.IsLeaf, c.ws.ReplayLine(), at)
+			if req == nil {
+				c.ws.Feed(lat, false)
 				continue
 			}
-			req := c.pool.Get()
-			req.Addr = wstep.PTEAddr
-			req.Category = stats.DRAMPTW
-			req.CoreID = c.id
-			req.IsLeafPT = wstep.IsLeaf
-			req.ReplayLine = c.ws.ReplayLine()
-			req.Enqueue = at + ar.Latency + m.Interconnect
 			req.MarkWaiter()
 			c.sys.ctrl.Submit(req)
-			c.waitReq, c.waitAt, c.waitLat = req, at, ar.Latency
+			c.waitReq, c.waitAt, c.waitLat = req, at, lat
 			c.phase = phWalkResume
 			return coreWait, req, executed
 
 		case phWalkResume:
 			req := c.waitReq
-			if !req.Done {
-				panic("core resumed before its request completed")
-			}
 			doneAt := req.Complete + m.Interconnect
 			c.submitWritebacks(c.hier.FillFromDRAM(req.Addr, false))
 			c.st.PTWDRAMCycles += doneAt - (c.waitAt + c.waitLat)
@@ -360,9 +296,6 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 
 		case phAccessResume:
 			req := c.waitReq
-			if !req.Done {
-				panic("core resumed before its request completed")
-			}
 			doneAt := req.Complete + m.Interconnect
 			dramPortion := doneAt - (c.now + c.ar.Latency)
 			c.st.CPIStack[stats.CPIDataLLC] += c.ar.Latency
@@ -394,25 +327,19 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 			// a prefetched line is a DRAM round trip the prefetch hid —
 			// the hidden-by-prefetch credit (an event count, not cycles:
 			// the counterfactual DRAM time is never simulated).
-			if c.ar.Served == cache.ServedLLC {
+			if c.ar.Served == cache.ServedLLC && c.ar.Provenance != cache.FillDemand {
 				switch c.ar.Provenance {
 				case cache.FillTempo:
 					c.st.TempoUseful++
-					if c.walked {
-						c.st.CPIHiddenByPrefetch++
-					}
 				case cache.FillIMP:
 					c.st.IMPUseful++
-					if c.walked {
-						c.st.CPIHiddenByPrefetch++
-					}
 				case cache.FillSpec:
 					if c.mech != nil {
 						c.mech.OnPrefetchUseful()
 					}
-					if c.walked {
-						c.st.CPIHiddenByPrefetch++
-					}
+				}
+				if c.walked {
+					c.st.CPIHiddenByPrefetch++
 				}
 			}
 
@@ -468,6 +395,14 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 				return coreStep, nil, executed
 			}
 		}
+	}
+}
+
+// touch faults v's page in if it is not resident. Fault cost is
+// excluded (traces model a warmed system; DESIGN.md).
+func (c *Core) touch(v mem.VAddr) {
+	if _, _, err := c.as.Touch(v); err != nil {
+		panic(fmt.Sprintf("touch %#x: %v", uint64(v), err))
 	}
 }
 
@@ -565,9 +500,8 @@ func (c *Core) nextRecord() (trace.Record, bool) {
 const queueGuardDepth = 128
 
 // submitWritebacks turns dirty LLC victims into fire-and-forget DRAM
-// write transactions. They drain whenever the controller runs; a
-// queue-depth guard keeps a long store-heavy cache-hit streak from
-// accumulating unbounded writes.
+// write transactions. They drain whenever the controller runs, and at
+// once past queueGuardDepth; every record passes through here.
 func (c *Core) submitWritebacks(addrs []mem.PAddr) {
 	for _, a := range addrs {
 		req := c.pool.Get()
@@ -584,6 +518,26 @@ func (c *Core) submitWritebacks(addrs []mem.PAddr) {
 	}
 }
 
+// readPTE probes the hierarchy for a walk's PTE reference at cycle at:
+// the datapath demand and background walks share. An on-chip hit
+// returns its latency and no request; a miss returns the probe latency
+// and the DRAM read, built but not yet submitted.
+func (c *Core) readPTE(paddr mem.PAddr, isLeaf bool, replayLine, at uint64) (uint64, *dram.Request) {
+	c.sys.mem.ApplyFills(at)
+	ar := c.hier.Access(paddr, false)
+	if ar.Served != cache.ServedDRAM {
+		return ar.Latency, nil
+	}
+	req := c.pool.Get()
+	req.Addr = paddr
+	req.Category = stats.DRAMPTW
+	req.CoreID = c.id
+	req.IsLeafPT = isLeaf
+	req.ReplayLine = replayLine
+	req.Enqueue = at + ar.Latency + c.sys.machine.Interconnect
+	return ar.Latency, req
+}
+
 // backgroundPort serves IMP-initiated walks: same datapath and DRAM
 // traffic as a demand walk, but the core does not stall (the walk runs
 // in the prefetcher's shadow) and no runtime is attributed, so it can
@@ -592,22 +546,13 @@ type backgroundPort struct{ c *Core }
 
 func (p backgroundPort) ReadPTE(paddr mem.PAddr, level int, isLeaf bool, replayLine uint64, at uint64) (uint64, bool) {
 	c := p.c
-	m := &c.sys.machine
-	c.sys.mem.ApplyFills(at)
-	ar := c.hier.Access(paddr, false)
-	if ar.Served != cache.ServedDRAM {
-		return ar.Latency, false
+	lat, req := c.readPTE(paddr, isLeaf, replayLine, at)
+	if req == nil {
+		return lat, false
 	}
-	req := c.pool.Get()
-	req.Addr = paddr
-	req.Category = stats.DRAMPTW
-	req.CoreID = c.id
-	req.IsLeafPT = isLeaf
-	req.ReplayLine = replayLine
-	req.Enqueue = at + ar.Latency + m.Interconnect
 	c.sys.ctrl.Submit(req)
 	c.sys.ctrl.RunUntil(req)
-	lat := req.Complete + m.Interconnect - at
+	lat = req.Complete + c.sys.machine.Interconnect - at
 	c.submitWritebacks(c.hier.FillFromDRAM(paddr, false))
 	c.pool.Release(req)
 	return lat, true
@@ -625,7 +570,6 @@ func (c *Core) impIssue() {
 	if !edge.HasValue {
 		return
 	}
-	m := &c.sys.machine
 	c.pfBuf = c.imp.AppendPrefetches(c.pfBuf[:0], edge.PC, edge.Value)
 	for _, target := range c.pfBuf {
 		if _, ok := c.as.Table().Lookup(target); !ok {
@@ -642,23 +586,35 @@ func (c *Core) impIssue() {
 			tr = res.Translation
 		}
 		p := tr.Translate(target).Line()
-		c.sys.mem.ApplyFills(c.now)
-		if c.hier.PeekLLC(p) {
+		if !c.prefetchLine(p, c.now, cache.FillIMP) {
 			continue
 		}
-		req := c.pool.Get()
-		req.Addr = p
-		req.Category = stats.DRAMPrefetch
-		req.CoreID = c.id
-		req.Enqueue = c.now + m.Interconnect
-		c.sys.ctrl.Submit(req)
-		c.sys.ctrl.RunUntil(req)
-		c.sys.mem.AddPending(p, req.Complete+m.LLCFillExtra, cache.FillIMP)
-		c.pool.Release(req)
 		c.st.IMPPrefetches++
 		if c.obs.Active() {
 			c.obs.Emit(obsv.Event{Kind: obsv.EvIMPPrefetch, Cycle: c.now,
 				Core: int16(c.id), Addr: uint64(p)})
 		}
 	}
+}
+
+// prefetchLine fetches line from DRAM toward the LLC at cycle now with
+// fill provenance src: the background datapath IMP and speculative
+// mechanisms share. The core does not stall on it. It reports false,
+// issuing nothing, when the line is already in the LLC.
+func (c *Core) prefetchLine(line mem.PAddr, now uint64, src cache.Provenance) bool {
+	m := &c.sys.machine
+	c.sys.mem.ApplyFills(now)
+	if c.hier.PeekLLC(line) {
+		return false
+	}
+	req := c.pool.Get()
+	req.Addr = line
+	req.Category = stats.DRAMPrefetch
+	req.CoreID = c.id
+	req.Enqueue = now + m.Interconnect
+	c.sys.ctrl.Submit(req)
+	c.sys.ctrl.RunUntil(req)
+	c.sys.mem.AddPending(line, req.Complete+m.LLCFillExtra, src)
+	c.pool.Release(req)
+	return true
 }

@@ -110,10 +110,11 @@ func checkFixture(t *testing.T, fx schedulerFixture) {
 // coordinator produces bit-identical results to the goroutine-per-core
 // coordinator it replaced. The expectations below were captured by
 // running these exact configurations on the channel-based scheduler
-// before the rewrite; the three fixtures stress the interleavings that
-// could diverge: multi-core shared-AS contention under BLISS, a
+// before the rewrite; the first three fixtures stress the interleavings
+// that could diverge: multi-core shared-AS contention under BLISS, a
 // multiprogrammed IMP mix (background walks and prefetch trains), and
-// sub-row allocation with TEMPO replay drains.
+// sub-row allocation with TEMPO replay drains. The fourth pins a
+// TEMPO-off shared-AS FR-FCFS baseline.
 func TestSchedulerEquivalenceGolden(t *testing.T) {
 	fixtures := []schedulerFixture{
 		{
@@ -203,6 +204,43 @@ func TestSchedulerEquivalenceGolden(t *testing.T) {
 			},
 			cores: [][3]uint64{
 				{406676, 9343, 855},
+			},
+		},
+		{
+			// TEMPO off, no IMP, no observer, no mechanism: the shape
+			// that most multi-core baseline runs take. Captured before
+			// TLB-hit and L1-hit records were folded into the one
+			// state-machine path, so it pins that the fold changed no
+			// decision.
+			name: "4core-graph500-shared-frfcfs",
+			cfg: func() Config {
+				cfg := DefaultConfig("graph500")
+				cfg.Records = 2_000
+				cfg.Workloads = nil
+				for i := 0; i < 4; i++ {
+					cfg.Workloads = append(cfg.Workloads,
+						WorkloadSpec{Name: "graph500", Footprint: 96 << 20, Seed: int64(i + 1)})
+				}
+				cfg.SharedAddressSpace = true
+				cfg.Scheduler = SchedFRFCFS
+				return cfg
+			},
+			total: []uint64{
+				253012, 20654, 8000, 6214, 1786,
+				1786, 577, 1782, 4,
+				4464, 184, 679, 4561,
+				593, 1782, 2186, 0,
+				0, 0, 0, 0,
+				0, 0, 3917, 20, 4561,
+				302818, 180628, 107173,
+				577,
+				0, 266, 311,
+			},
+			cores: [][3]uint64{
+				{251892, 5174, 440},
+				{253012, 5157, 471},
+				{247502, 5157, 436},
+				{252669, 5166, 439},
 			},
 		},
 	}

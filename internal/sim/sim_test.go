@@ -285,11 +285,13 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestMachineValidation feeds New the machine parameters the core
-// model cannot run with: a NonMemIPC below 1 divides every record's
-// instruction gap by zero (or wraps it), and an OtherOverlap outside
-// [0, 1] wraps the stall charge into a near-endless run. New must
-// reject each with an error naming the field, so Run is never reached.
+// TestMachineValidation feeds New the machine parameters the simulator
+// cannot run with: a NonMemIPC below 1 divides every record's
+// instruction gap by zero (or wraps it), an OtherOverlap outside [0, 1]
+// wraps the stall charge into a near-endless run, and a cache, TLB or
+// DRAM geometry its package cannot build panics at construction. New
+// must reject each with an error naming the field, so Run is never
+// reached.
 func TestMachineValidation(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -301,6 +303,12 @@ func TestMachineValidation(t *testing.T) {
 		{"overlap-negative", "OtherOverlap", func(m *Machine) { m.OtherOverlap = -3 }},
 		{"overlap-above-one", "OtherOverlap", func(m *Machine) { m.OtherOverlap = 1.5 }},
 		{"overlap-nan", "OtherOverlap", func(m *Machine) { m.OtherOverlap = math.NaN() }},
+		{"llc-zero-ways", "Caches.LLC.Ways", func(m *Machine) { m.Caches.LLC.Ways = 0 }},
+		{"llc-odd-size", "Caches.LLC.SizeB", func(m *Machine) { m.Caches.LLC.SizeB = 3000 }},
+		{"l1-three-ways", "Caches.L1.Ways", func(m *Machine) { m.Caches.L1.Ways = 3 }},
+		{"tlb-zero-ways", "TLB.L1[0].Ways", func(m *Machine) { m.TLB.L1[0].Ways = 0 }},
+		{"tlb-three-sets", "TLB.L1[0].Sets", func(m *Machine) { m.TLB.L1[0].Sets = 3 }},
+		{"dram-no-channels", "DRAM.Geometry.Channels", func(m *Machine) { m.DRAM.Geometry.Channels = 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

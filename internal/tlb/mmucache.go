@@ -1,6 +1,8 @@
 package tlb
 
 import (
+	"fmt"
+
 	"repro/internal/assoc"
 	"repro/internal/mem"
 )
@@ -31,6 +33,18 @@ func DefaultMMUCacheConfig() MMUCacheConfig {
 		L3: Geometry{Sets: 1, Ways: 8},
 		L2: Geometry{Sets: 8, Ways: 4},
 	}
+}
+
+// Validate reports the first per-level geometry the page-walk caches
+// cannot be built with; the error text begins with its field path
+// ("L3.Sets").
+func (cfg MMUCacheConfig) Validate() error {
+	for i, g := range [...]Geometry{cfg.L4, cfg.L3, cfg.L2} {
+		if err := assoc.CheckGeometry(g.Sets, g.Ways); err != nil {
+			return fmt.Errorf("L%d.%w", 4-i, err)
+		}
+	}
+	return nil
 }
 
 // NewMMUCache builds the page-walk caches.

@@ -86,6 +86,19 @@ type TLB struct {
 	obsMisses *obsv.Counter
 }
 
+// Validate reports the first level/class geometry a TLB cannot be
+// built with; the error text begins with its field path ("L1[0].Ways").
+func (cfg Config) Validate() error {
+	for lvl, classes := range [...][3]Geometry{cfg.L1, cfg.L2} {
+		for c, g := range classes {
+			if err := assoc.CheckGeometry(g.Sets, g.Ways); err != nil {
+				return fmt.Errorf("L%d[%d].%w", lvl+1, c, err)
+			}
+		}
+	}
+	return nil
+}
+
 // New builds a TLB with the given geometry.
 func New(cfg Config) *TLB {
 	t := &TLB{}
